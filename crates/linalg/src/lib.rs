@@ -1,17 +1,19 @@
-//! Dense linear-algebra substrate for the `ed-security` workspace.
+//! Linear-algebra substrate for the `ed-security` workspace.
 //!
 //! The power-flow and optimization crates in this workspace need a small but
-//! reliable set of dense numerical kernels:
+//! reliable set of numerical kernels:
 //!
 //! - [`Matrix`] — a row-major dense `f64` matrix with the usual arithmetic,
 //!   slicing and assembly helpers.
-//! - [`Lu`] — LU factorization with partial pivoting, used for linear solves
-//!   in the Newton–Raphson AC power flow, PTDF computation, and the
-//!   active-set QP solver.
-//! - [`UpdatableLu`] — an [`Lu`] plus a product-form eta file of rank-1
-//!   updates (column replacement and Sherman–Morrison), with a
+//! - [`Lu`] — dense LU factorization with partial pivoting, for the
+//!   genuinely dense systems: the Newton–Raphson AC power flow Jacobian and
+//!   the active-set and interior-point QP KKT matrices.
+//! - [`SparseLu`] — sparse LU with threshold Markowitz pivoting, factoring
+//!   column lists without forming the dense matrix.
+//! - [`UpdatableLu`] — a [`SparseLu`] plus a product-form file of sparse
+//!   rank-1 updates (column replacement and Sherman–Morrison), with a
 //!   stability-triggered refactorization fallback; backs the simplex basis
-//!   and incremental power-flow factor updates.
+//!   and the shared susceptance factorization behind DC power flow and PTDF.
 //! - [`Complex`] — complex arithmetic for AC admittance matrices.
 //! - [`CscMatrix`] — compressed sparse column storage for constraint
 //!   matrices, with dense↔sparse conversion and column iteration; the
@@ -20,8 +22,8 @@
 //! Everything here is implemented from scratch (no external linear-algebra
 //! crates) and sized for the problems in this workspace: networks with up to
 //! a few hundred buses, and optimization bases with up to a few thousand
-//! rows. All kernels are `O(n^3)` dense algorithms with partial pivoting for
-//! stability.
+//! rows. The dense kernels are `O(n^3)` with partial pivoting; the sparse
+//! factorization costs what its fill costs.
 //!
 //! # Example
 //!
@@ -46,6 +48,7 @@ mod lu;
 mod lu_update;
 mod matrix;
 mod sparse;
+mod sparse_lu;
 mod vector;
 
 pub use complex::Complex;
@@ -54,4 +57,5 @@ pub use lu::Lu;
 pub use lu_update::UpdatableLu;
 pub use matrix::Matrix;
 pub use sparse::CscMatrix;
+pub use sparse_lu::SparseLu;
 pub use vector::{axpy, dot, norm_inf, norm_two, scale, sub};

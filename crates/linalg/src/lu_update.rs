@@ -1,14 +1,15 @@
 //! Rank-1 updatable LU factorization: a product-form eta file layered on
-//! top of [`Lu`].
+//! top of a [`SparseLu`].
 //!
 //! Two update kinds are supported, both expressed as a multiplicative
 //! correction applied after the base factorization:
 //!
 //! - **Column replacement** ([`UpdatableLu::replace_column`]): the
-//!   Forrest–Tomlin-style eta used by the revised simplex. Replacing basis
+//!   product-form (PFI) eta used by the revised simplex. Replacing basis
 //!   column `r` with a column whose ftran image is `w` turns the basis into
 //!   `B' = B·E` where `E` is the identity with column `r` overwritten by
-//!   `w`; solving against `B'` applies `E⁻¹` after the base solve.
+//!   `w`; solving against `B'` applies `E⁻¹` after the base solve. Only the
+//!   nonzeros of `w` are stored, so an eta costs its fill, not `m`.
 //! - **Rank-1 additive update** ([`UpdatableLu::rank_one_update`]): the
 //!   Sherman–Morrison form for `B' = B + u·vᵀ`, used for single-line
 //!   outage / rating deltas on the reduced susceptance matrix where the
@@ -21,13 +22,13 @@
 //! the factorization unchanged. Callers fall back to a fresh
 //! factorization; they never receive a silently garbage solve.
 //!
-//! The eta application loops are kept operation-for-operation identical to
-//! the historical inline eta file in the simplex tableau so that solve
-//! results are bit-identical to the pre-refactor code path.
+//! The eta application loops skip only the zero entries of the dense
+//! product-form loops, in the same index order, so they round exactly as a
+//! dense eta file would.
 
 use crate::error::LinalgError;
-use crate::lu::Lu;
 use crate::matrix::Matrix;
+use crate::sparse_lu::SparseLu;
 use crate::vector::dot;
 
 /// Relative stability floor for eta pivots: an eta pivot smaller than this
@@ -44,35 +45,48 @@ const SM_DENOM_TOL: f64 = 1e-8;
 /// One recorded multiplicative update.
 #[derive(Debug, Clone)]
 enum Update {
-    /// Column `r` of the current matrix replaced; `w` is the ftran image of
-    /// the new column under the factorization *at push time*.
-    Eta { r: usize, w: Vec<f64> },
+    /// Column `r` of the current matrix replaced by a column whose ftran
+    /// image under the factorization *at push time* is `w`: `pivot = w[r]`
+    /// and the other nonzeros of `w` as `(index, value)`, ascending.
+    Eta { r: usize, pivot: f64, w: Vec<(usize, f64)> },
     /// Additive rank-1 update `+ u·vᵀ`; `z` is the solve of `u` under the
     /// factorization at push time and `denom = 1 + vᵀz`.
     RankOne { z: Vec<f64>, v: Vec<f64>, denom: f64 },
 }
 
-/// LU factorization plus a product-form file of rank-1 updates.
+/// Sparse LU factorization plus a product-form file of rank-1 updates.
 ///
-/// Wraps a base [`Lu`] and a sequence of [`Update`]s; `solve` /
+/// Wraps a base [`SparseLu`] and a sequence of [`Update`]s; `solve` /
 /// `solve_transpose` run the base triangular solves and then apply the
 /// update corrections in the proper order. With an empty update file the
-/// solves are exactly the base [`Lu`] solves.
+/// solves are exactly the base [`SparseLu`] solves.
 #[derive(Debug, Clone)]
 pub struct UpdatableLu {
-    lu: Lu,
+    lu: SparseLu,
     updates: Vec<Update>,
 }
 
 impl UpdatableLu {
     /// Factors `a` with no updates applied.
+    ///
+    /// # Errors
+    ///
+    /// As [`SparseLu::factor`].
     pub fn factor(a: &Matrix) -> Result<Self, LinalgError> {
-        Ok(Self { lu: Lu::factor(a)?, updates: Vec::new() })
+        Ok(Self { lu: SparseLu::factor(a)?, updates: Vec::new() })
     }
 
-    /// Wraps an existing base factorization with an empty update file.
-    pub fn from_lu(lu: Lu) -> Self {
-        Self { lu, updates: Vec::new() }
+    /// Factors the `n × n` matrix given column by column as `(row, value)`
+    /// entries, with no updates applied.
+    ///
+    /// # Errors
+    ///
+    /// As [`SparseLu::from_columns`].
+    pub fn from_columns<'a, I>(n: usize, columns: I) -> Result<Self, LinalgError>
+    where
+        I: IntoIterator<Item = &'a [(usize, f64)]>,
+    {
+        Ok(Self { lu: SparseLu::from_columns(n, columns)?, updates: Vec::new() })
     }
 
     /// Dimension of the factored matrix.
@@ -81,7 +95,7 @@ impl UpdatableLu {
     }
 
     /// Borrow of the base factorization (ignores pending updates).
-    pub fn base(&self) -> &Lu {
+    pub fn base(&self) -> &SparseLu {
         &self.lu
     }
 
@@ -92,12 +106,6 @@ impl UpdatableLu {
 
     /// Drops every stacked update, reverting to the base factorization.
     pub fn clear_updates(&mut self) {
-        self.updates.clear();
-    }
-
-    /// Replaces the base factorization and clears the update file.
-    pub fn reset(&mut self, lu: Lu) {
-        self.lu = lu;
         self.updates.clear();
     }
 
@@ -115,12 +123,10 @@ impl UpdatableLu {
         let m = z.len();
         for up in &self.updates {
             match up {
-                Update::Eta { r, w } => {
-                    let zr = z[*r] / w[*r];
-                    for k in 0..m {
-                        if k != *r {
-                            z[k] -= w[k] * zr;
-                        }
+                Update::Eta { r, pivot, w } => {
+                    let zr = z[*r] / pivot;
+                    for &(k, wk) in w {
+                        z[k] -= wk * zr;
                     }
                     z[*r] = zr;
                 }
@@ -143,14 +149,12 @@ impl UpdatableLu {
         let mut c = b.to_vec();
         for up in self.updates.iter().rev() {
             match up {
-                Update::Eta { r, w } => {
+                Update::Eta { r, pivot, w } => {
                     let mut s = 0.0;
-                    for k in 0..m {
-                        if k != *r {
-                            s += w[k] * c[k];
-                        }
+                    for &(k, wk) in w {
+                        s += wk * c[k];
                     }
-                    c[*r] = (c[*r] - s) / w[*r];
+                    c[*r] = (c[*r] - s) / pivot;
                 }
                 Update::RankOne { z, v, denom } => {
                     let s = dot(z, &c) / denom;
@@ -195,7 +199,13 @@ impl UpdatableLu {
                 ),
             });
         }
-        self.updates.push(Update::Eta { r, w });
+        let w = w
+            .iter()
+            .enumerate()
+            .filter(|&(k, &wk)| k != r && wk != 0.0)
+            .map(|(k, &wk)| (k, wk))
+            .collect();
+        self.updates.push(Update::Eta { r, pivot, w });
         Ok(())
     }
 

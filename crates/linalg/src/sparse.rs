@@ -4,9 +4,8 @@
 //! model IR (`ed_optim::model::Model`) and anything that wants to scan a
 //! constraint matrix column-by-column without touching its zeros: presolve,
 //! basis factorization, and benchmarks that report nonzero counts. It is a
-//! *storage* type — the numerical heavy lifting (factorization, solves)
-//! stays in the dense [`Lu`](crate::Lu) kernels, which are the right tool at
-//! the few-thousand-row scale this workspace targets.
+//! *storage* type; sparse factorization lives in [`SparseLu`](crate::SparseLu),
+//! which takes the same column lists.
 //!
 //! Entries inside each column are stored sorted by row index with no
 //! duplicates; [`CscMatrix::from_triplets`] sorts and coalesces on the way

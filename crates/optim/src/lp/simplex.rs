@@ -7,14 +7,15 @@
 //! - Phase 1 introduces one artificial column per row and minimizes their
 //!   sum; phase 2 re-prices with the true objective after artificials are
 //!   driven out (or pinned at zero on redundant rows).
-//! - The basis is represented as an [`Lu`] factorization of the last
-//!   refactorized basis matrix plus a list of product-form eta updates, one
-//!   per pivot: ftran solves through the factors then applies the etas in
+//! - The basis is represented as a sparse LU factorization of the last
+//!   refactorized basis matrix, built straight from the basic columns'
+//!   entry lists, plus a list of sparse product-form eta updates, one per
+//!   pivot: ftran solves through the factors then applies the etas in
 //!   order, btran applies the transposed etas in reverse then solves the
 //!   transposed factors. The basis is refactorized from scratch every
 //!   [`SimplexOptions::refactor_interval`] pivots (clearing the eta list and
-//!   recomputing the basic solution) to bound drift — no dense explicit
-//!   inverse is ever formed.
+//!   recomputing the basic solution) to bound drift — neither a dense basis
+//!   matrix nor an explicit inverse is ever formed.
 //! - Dantzig pricing by default, with an automatic switch to Bland's rule
 //!   after a run of degenerate pivots to guarantee termination.
 
@@ -27,7 +28,7 @@ use crate::lp::basis::{Basis, BasisStatus};
 use crate::lp::pricing::DevexWeights;
 use crate::model::{LpSolution, LpStatus, Model, RowSense, Sense};
 use crate::OptimError;
-use ed_linalg::{Lu, Matrix, UpdatableLu};
+use ed_linalg::UpdatableLu;
 
 /// Pricing rule for selecting the entering variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -119,9 +120,9 @@ struct Tableau {
     x: Vec<f64>,
     state: Vec<VarState>,
     basis: Vec<usize>,
-    /// LU factors of the basis matrix at the last refactorization plus the
-    /// product-form eta file of pivots since then (`None` until the first
-    /// factorization, or when `m == 0`). Lives in `ed-linalg` as
+    /// Sparse LU factors of the basis matrix at the last refactorization
+    /// plus the product-form eta file of pivots since then (`None` until
+    /// the first factorization, or when `m == 0`). Lives in `ed-linalg` as
     /// [`UpdatableLu`] so `FactorCache` shares the same update machinery.
     factors: Option<UpdatableLu>,
     iterations: usize,
@@ -258,19 +259,11 @@ impl Tableau {
             self.factors = None;
             return Ok(());
         }
-        let mut bmat = Matrix::zeros(self.m, self.m);
-        for (k, &j) in self.basis.iter().enumerate() {
-            for &(i, c) in &self.cols[j] {
-                bmat[(i, k)] = c;
-            }
-        }
-        let lu = Lu::factor(&bmat).map_err(|e| OptimError::Numerical {
+        let basic = self.basis.iter().map(|&j| self.cols[j].as_slice());
+        let lu = UpdatableLu::from_columns(self.m, basic).map_err(|e| OptimError::Numerical {
             what: format!("basis refactorization failed: {e}"),
         })?;
-        match &mut self.factors {
-            Some(f) => f.reset(lu),
-            None => self.factors = Some(UpdatableLu::from_lu(lu)),
-        }
+        self.factors = Some(lu);
         Ok(())
     }
 

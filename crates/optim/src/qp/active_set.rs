@@ -143,7 +143,8 @@ fn eqp_step(qp: &DenseQp, x: &[f64], w: &[usize], reg: f64) -> Result<EqpStep, O
 /// method, retrying with tiny deterministic right-hand-side perturbations
 /// if degeneracy stalls it (heavily-tied vertices can cycle; perturbation
 /// breaks the ties, and the perturbed optimum is within the perturbation
-/// magnitude of the true one).
+/// magnitude of the true one). The perturbation only tightens inequality
+/// rows, so a perturbed answer is feasible for the original problem.
 pub(crate) fn solve(qp: &DenseQp, options: &QpOptions) -> Result<QpSolution, OptimError> {
     match solve_budgeted(qp, options, &SolveBudget::unlimited())? {
         SolveOutcome::Solved(sol) => Ok(sol),
@@ -183,40 +184,46 @@ fn solve_budgeted_inner(
         Ok(out) => Ok(out),
         Err(first @ (OptimError::IterationLimit { .. } | OptimError::Numerical { .. })) => {
             let scale = 1.0 + ed_linalg::norm_inf(&qp.b_in);
-            let mut last_err = first;
             for magnitude in [1e-7, 1e-5] {
                 if let Some(tripped) = budget.wall_tripped() {
                     // No time left for perturbation retries: surface the best
                     // feasible iterate the failed pass retained, if any.
                     return Ok(SolveOutcome::Partial(partial_from_limit(
-                        qp, &last_err, tripped, options,
+                        qp, &first, tripped, options,
                     )));
                 }
                 let mut perturbed = qp.clone();
-                // Deterministic per-row jitter (splitmix-style hash).
+                // Deterministic per-row jitter (splitmix-style hash),
+                // inward: every inequality row gets strictly tighter.
                 for (i, b) in perturbed.b_in.iter_mut().enumerate() {
                     let mut z = (i as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
                     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
                     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
                     let u = ((z >> 11) as f64) / (1u64 << 53) as f64; // [0,1)
-                    *b += magnitude * scale * (0.5 + u);
+                    *b -= magnitude * scale * (0.5 + u);
                 }
+                // The perturbed problem's verdicts say nothing about the
+                // original one: an answer must be feasible for the original
+                // constraints, and any failure (including a tightened box
+                // that no longer has room) leaves the first pass's error
+                // standing so the caller can move on.
+                let feasible = |x: &[f64]| qp.infeasibility(x) <= options.feas_tol;
                 match solve_once(&perturbed, options, budget) {
-                    Ok(SolveOutcome::Solved(sol)) => {
+                    Ok(SolveOutcome::Solved(sol)) if feasible(&sol.x) => {
                         return Ok(SolveOutcome::Solved(QpSolution {
                             objective: qp.objective_value(&sol.x),
                             ..sol
                         }))
                     }
-                    Ok(SolveOutcome::Partial(mut p)) => {
+                    Ok(SolveOutcome::Partial(mut p)) if p.x.as_deref().is_none_or(feasible) => {
                         // Re-price the perturbed iterate on the true problem.
                         p.objective = p.x.as_deref().map(|x| qp.objective_value(x));
                         return Ok(SolveOutcome::Partial(p));
                     }
-                    Err(e) => last_err = e,
+                    Ok(_) | Err(_) => {}
                 }
             }
-            Err(last_err)
+            Err(first)
         }
         Err(e) => Err(e),
     }
@@ -315,13 +322,6 @@ fn solve_once(
             Err(e) => return Err(e),
         };
 
-        if std::env::var_os("ED_QP_TRACE").is_some() && iterations.is_multiple_of(50) {
-            eprintln!(
-                "iter {iterations}: |W|={} obj={:.6}",
-                w.len(),
-                qp.objective_value(&x)
-            );
-        }
         let p_norm = ed_linalg::norm_inf(&p);
         if p_norm <= options.step_tol * (1.0 + ed_linalg::norm_inf(&x)) {
             // Candidate optimum: check working-set multipliers.

@@ -5,17 +5,18 @@
 //! the bus susceptance matrix with the slack row/column removed. The seed
 //! code re-derived it per call site, and the PTDF path even materialized a
 //! full `O(n³)` inverse on top of the `O(n³)` factorization. A
-//! [`FactorCache`] factors the matrix **once** (`P·B_red = L·U`) and serves
-//! `O(n²)` per-column forward/back substitutions to every consumer.
+//! [`FactorCache`] factors the matrix **once** with the sparse LU
+//! ([`ed_linalg::SparseLu`], threshold Markowitz pivoting) and serves
+//! per-column forward/back substitutions that cost the factors' nonzeros,
+//! not `O(n²)`, to every consumer.
 //!
 //! The cache is immutable after construction and [`Sync`], so parallel
 //! sweeps (see `ed-par`) borrow one cache from any number of worker
-//! threads. Solves through the cache are bit-identical to the seed's
-//! factor-then-solve path: the factored matrix and the substitution
-//! recurrences are unchanged.
+//! threads. The factorization is a pure function of the matrix, so every
+//! build for the same network serves bit-identical solves.
 
 use crate::{dc, LineId, Network, PowerflowError};
-use ed_linalg::{LinalgError, Lu, UpdatableLu};
+use ed_linalg::{LinalgError, UpdatableLu};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -48,12 +49,12 @@ impl FactorCache {
         let slack = net.slack().0;
         let keep: Vec<usize> = (0..n).filter(|&i| i != slack).collect();
         let b_red = dc::bus_susceptance(net).submatrix(&keep, &keep);
-        let lu = Lu::factor(&b_red)?;
+        let factors = UpdatableLu::factor(&b_red)?;
         let mut red = vec![None; n];
         for (k, &bus) in keep.iter().enumerate() {
             red[bus] = Some(k);
         }
-        Ok(FactorCache { factors: UpdatableLu::from_lu(lu), keep, red, slack })
+        Ok(FactorCache { factors, keep, red, slack })
     }
 
     /// Fetches (or builds and caches) the shared factorization for a
@@ -146,9 +147,8 @@ impl FactorCache {
                         b_red[(i, j)] -= beta * a[i] * a[j];
                     }
                 }
-                let lu = Lu::factor(&b_red)?;
                 let mut fresh = self.clone();
-                fresh.factors = UpdatableLu::from_lu(lu);
+                fresh.factors = UpdatableLu::factor(&b_red)?;
                 Ok(fresh)
             }
             Err(e) => Err(e.into()),

@@ -29,6 +29,11 @@ run() {
 # Offline everywhere: the workspace has no external dependencies and the
 # build must not reach for a network that CI may not have.
 run cargo build --release --offline --workspace
+# The benchmark (ledger/) is a package of its own that calls the crates'
+# public API: build it and run its tests so an API change that breaks the
+# benchmark fails here, not first in a benchmark run.
+run cargo build --release --offline --manifest-path ledger/Cargo.toml
+run cargo test --release --offline --manifest-path ledger/Cargo.toml
 # The suite must pass both sequentially and on a multi-threaded pool —
 # Algorithm 1 and PTDF/LODF assembly promise bit-identical results at any
 # thread count (ED_THREADS is read by ed-par).

@@ -134,3 +134,45 @@ fn expired_deadline_is_refused_at_admission_not_solved() {
     assert!(body.contains("chaos_disabled"), "{body}");
     server.shutdown();
 }
+
+// --- Active-set perturbation retry on DLR-perturbed 118-bus dispatch ---
+
+/// Two DLR-perturbed 118-bus dispatches on which the plain active-set pass
+/// stalls at its iteration limit. The perturbed retry used to loosen the
+/// constraints and return an answer up to ~0.017 MW outside generator
+/// limits, which the gate refused; a retry may now only answer inside the
+/// original constraints, otherwise the ladder moves to the next rung.
+/// Scenarios are drawn as a dispatch service load mix draws them: seed 2,
+/// per scenario a load level in `[0.97, 1.03)`, then one rating factor in
+/// `[1, 1.15)` per line in line order; #30 and #175 are the two that
+/// stalled.
+#[test]
+fn dlr_perturbed_118_dispatch_retry_passes_the_safety_gate() {
+    use ed_core::dispatch::ResilientDispatcher;
+    use ed_optim::budget::SolveBudget;
+    use ed_rng::{Rng, SeedableRng, StdRng};
+
+    let net = ed_cases::ieee118_like();
+    let factors = ed_powerflow::FactorCache::shared(&net).expect("118-bus factors");
+    let mut rng = StdRng::seed_from_u64(2);
+    for scenario in 0..=175 {
+        let level: f64 = rng.gen_range(0.97..1.03);
+        let ratings: Vec<f64> =
+            net.lines().iter().map(|l| l.rating_mva * rng.gen_range(1.0..1.15)).collect();
+        if scenario != 30 && scenario != 175 {
+            continue;
+        }
+        let demand: Vec<f64> = net.buses().iter().map(|b| b.demand_mw * level).collect();
+        let rd = ResilientDispatcher::new()
+            .dispatch_with_factors(
+                &net,
+                &demand,
+                &ratings,
+                &SolveBudget::unlimited(),
+                Some(factors.clone()),
+            )
+            .expect("a feasible interval dispatches");
+        let safety = rd.safety.as_ref().expect("every dispatch is audited");
+        assert!(safety.passed(), "scenario #{scenario} (level {level}): {safety:?}");
+    }
+}

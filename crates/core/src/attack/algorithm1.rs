@@ -245,7 +245,7 @@ pub fn optimal_attack_with(
     // (budget clones share the cancellation flag).
     let mut options = config.options.clone();
     options.budget = options.budget.clone().cancellable();
-    let warm_on = options.warm_start.unwrap_or_else(ed_optim::lp::warm_env_enabled);
+    let warm_on = options.warm_start.unwrap_or(true);
     // Warm-basis priority: an explicitly injected basis wins; otherwise the
     // scenario-fingerprinted solution pool may hold the seed of an earlier
     // certified sweep of this exact scenario. Either way the basis is
@@ -768,7 +768,7 @@ fn run_subproblem_inner(
     } else {
         None
     };
-    let warm_on = options.warm_start.unwrap_or_else(ed_optim::lp::warm_env_enabled);
+    let warm_on = options.warm_start.unwrap_or(true);
     let use_certify = options.certify.unwrap_or_else(ed_optim::certify::env_enabled);
     match solve_subproblem(prepared, line, dir, scale, options, hint) {
         SubproblemAttempt::Solved(mut sol) => {

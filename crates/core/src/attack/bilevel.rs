@@ -3,7 +3,7 @@
 
 use crate::attack::kkt::PreparedKkt;
 use ed_optim::budget::{BudgetTripped, SolveBudget, SolveOutcome};
-use ed_optim::lp::{warm_env_enabled, Basis, Row, VarId};
+use ed_optim::lp::{Basis, Row, VarId};
 use ed_optim::milp::{MilpOptions, MilpProblem};
 use ed_optim::mpec::{MpecOptions, MpecProblem};
 use ed_optim::OptimError;
@@ -73,10 +73,9 @@ pub struct BilevelOptions {
     /// for the sibling subproblems (they differ only in the objective row,
     /// which phase 1 never reads) and hand each branch-and-bound parent's
     /// optimal basis to its children for a dual-simplex restart. `Some(flag)`
-    /// forces it, `None` defers to the `ED_WARM` environment variable
-    /// (default **on**). Warm starts never change answers: a warm basis
-    /// that fails to install falls back to a cold solve, and a warm-started
-    /// answer that fails its certificate is re-solved cold.
+    /// forces it, `None` means on. Warm starts never change answers: a warm
+    /// basis that fails to install falls back to a cold solve, and a
+    /// warm-started answer that fails its certificate is re-solved cold.
     pub warm_start: Option<bool>,
     /// Seed basis injected from outside the sweep (e.g. the serve layer's
     /// per-fingerprint warm cache, holding the last certified sweep's
@@ -112,7 +111,7 @@ impl Default for BilevelOptions {
 #[derive(Debug, Clone)]
 pub struct SubproblemSolution {
     /// Optimal objective (in the scaled units passed to
-    /// [`KktModel::set_flow_objective`]).
+    /// [`KktModel::set_flow_objective`](crate::attack::kkt::KktModel::set_flow_objective)).
     pub objective: f64,
     /// Manipulated ratings `u^a` (ordered like the config's DLR lines).
     pub ua_mw: Vec<f64>,
@@ -198,7 +197,7 @@ pub(crate) fn solve_subproblem(
     // The reduced model's objective differs from the original by `offset`;
     // hints and reported objectives convert at this boundary.
     let hint = incumbent_hint.map(|h| h - offset);
-    let warm_on = options.warm_start.unwrap_or_else(warm_env_enabled);
+    let warm_on = options.warm_start.unwrap_or(true);
     let package = |x_red: &[f64],
                    objective: f64,
                    proved_optimal: bool,

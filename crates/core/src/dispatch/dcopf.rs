@@ -1,7 +1,9 @@
 //! The [`DcOpf`] problem type and its solution container.
 
-use crate::dispatch::{lp_form, qp_form};
+use crate::dispatch::form::{angle_model, ptdf_model, DispatchModel, Objective};
+use crate::dispatch::resilient::{ladder, RungOutcome};
 use crate::CoreError;
+use ed_optim::budget::SolveBudget;
 use ed_powerflow::{dc, Network};
 
 /// Which mathematical formulation of DC-OPF to solve.
@@ -117,7 +119,7 @@ impl<'a> DcOpf<'a> {
         self
     }
 
-    /// Selects the formulation (default: [`Formulation::Angle`]).
+    /// Selects the formulation (default: [`Formulation::Auto`]).
     pub fn formulation(mut self, f: Formulation) -> DcOpf<'a> {
         self.formulation = f;
         self
@@ -172,34 +174,44 @@ impl<'a> DcOpf<'a> {
 
     /// Solves the dispatch.
     ///
-    /// Picks the QP path when every generator's cost is strictly convex,
-    /// the LP path otherwise.
+    /// Runs the exact-cost rungs of the resilient ladder's table, with no
+    /// safety gate and no last-known-good, and returns the first clean
+    /// answer: the active-set QP, escalating to the interior point, when
+    /// every generator's cost is strictly convex; the simplex LP otherwise.
     ///
     /// # Errors
     ///
     /// - [`CoreError::InvalidInput`] on malformed demand/ratings vectors.
     /// - [`CoreError::DispatchInfeasible`] when the demand cannot be served
     ///   within the limits.
-    /// - [`CoreError::Optim`] on solver failures.
+    /// - [`CoreError::Optim`] when every rung's solver fails (the last
+    ///   rung's error).
     pub fn solve(&self) -> Result<Dispatch, CoreError> {
         self.validate()?;
-        let all_quadratic = self.net.gens().iter().all(|g| g.cost.is_strictly_convex());
-        let p_mw = match (self.formulation.resolve(self.net), all_quadratic) {
-            (Formulation::Auto, _) => unreachable!("resolve() never returns Auto"),
-            (Formulation::Angle, true) => {
-                qp_form::solve_angle(self.net, &self.demand_mw, &self.ratings_mw)?
+        let budget = SolveBudget::unlimited();
+        let mut last_err = CoreError::DispatchInfeasible;
+        // The midpoint-linearized LP rung approximates a QP; it is a
+        // fallback for the dispatcher, not an answer to this problem.
+        for rung in ladder(self.net).iter().filter(|r| r.objective == Objective::Own) {
+            match rung.attempt(self, &budget) {
+                RungOutcome::Clean(d) => return Ok(d),
+                RungOutcome::Infeasible => return Err(CoreError::DispatchInfeasible),
+                RungOutcome::Failed(_, e) => last_err = e,
+                RungOutcome::Degraded(..) | RungOutcome::FailedPartial(_) => {
+                    unreachable!("an unlimited budget cannot trip")
+                }
             }
-            (Formulation::Angle, false) => {
-                lp_form::solve_angle(self.net, &self.demand_mw, &self.ratings_mw)?
-            }
-            (Formulation::Ptdf, true) => {
-                qp_form::solve_ptdf(self.net, &self.demand_mw, &self.ratings_mw)?
-            }
-            (Formulation::Ptdf, false) => {
-                lp_form::solve_ptdf(self.net, &self.demand_mw, &self.ratings_mw)?
-            }
-        };
-        self.package(p_mw)
+        }
+        Err(last_err)
+    }
+
+    /// Assembles this problem's model in its formulation with `objective`.
+    pub(crate) fn model(&self, objective: Objective) -> Result<DispatchModel, CoreError> {
+        let (net, d, u) = (self.net, &self.demand_mw[..], &self.ratings_mw[..]);
+        match self.formulation.resolve(net) {
+            Formulation::Ptdf => ptdf_model(net, d, u, objective),
+            _ => Ok(angle_model(net, d, u, objective)),
+        }
     }
 
     /// Builds the full [`Dispatch`] (flows, angles, cost) from generator

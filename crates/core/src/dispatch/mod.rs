@@ -10,9 +10,8 @@
 
 mod certified;
 mod dcopf;
+mod form;
 mod loss;
-mod lp_form;
-mod qp_form;
 mod resilient;
 mod safety;
 
@@ -23,8 +22,3 @@ pub use resilient::{
     Degradation, DegradationReason, DispatchRung, ResilientDispatch, ResilientDispatcher,
 };
 pub use safety::{SafetyGate, SafetyLimits, SafetyReport, SafetyViolation};
-
-/// Raw budgeted solver output shared by the LP and QP forms: the
-/// `(generation, nodal price)` vectors, or a typed partial/error.
-pub(crate) type BudgetedSolve =
-    Result<ed_optim::budget::SolveOutcome<(Vec<f64>, Vec<f64>)>, crate::CoreError>;

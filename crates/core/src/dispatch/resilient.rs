@@ -12,15 +12,16 @@
 //! 2. **Interior-point QP** — immune to active-set degeneracy stalls.
 //! 3. **LP approximation** — generation costs linearized at the midpoint
 //!    of each generator's range (marginal cost `b + 2a·(pmin+pmax)/2`);
-//!    exact for all-linear-cost systems.
+//!    exact for all-linear-cost systems, whose ladder starts here.
 //! 4. **Last-known-good** — the most recent successfully solved dispatch,
 //!    re-issued unchanged. Physically stale but operationally safe: real
 //!    EMSs hold the previous base point when the optimizer misses its
 //!    market-interval deadline.
 //!
-//! Each QP rung hands the shared-model builders in `qp_form` a different
-//! [`Solver`] trait object, so the ladder's escalation policy lives here
-//! while the model assembly is written once.
+//! Rungs 1–3 are one table of `(rung, solver, objective)` over the shared
+//! model builders in `form`; [`DcOpf::solve`] runs the table's exact-cost
+//! rungs with no gate and no last-known-good, so the escalation policy is
+//! written once.
 //!
 //! Every input is sanitized before *any* solver sees it (non-finite or
 //! non-positive ratings, non-finite demand), so a NaN injected into the
@@ -28,10 +29,11 @@
 //! factorization. The ladder records which rung produced the result and
 //! why each earlier rung failed.
 
-use crate::dispatch::{lp_form, qp_form, DcOpf, Dispatch, Formulation, SafetyGate, SafetyReport};
+use crate::dispatch::form::{all_strictly_convex, BudgetedSolve, Objective};
+use crate::dispatch::{DcOpf, Dispatch, SafetyGate, SafetyReport};
 use crate::CoreError;
 use ed_optim::budget::{BudgetTripped, SolveBudget, SolveOutcome};
-use ed_optim::model::{ActiveSetSolver, IpmSolver, Solver};
+use ed_optim::model::{ActiveSetSolver, IpmSolver, SimplexSolver, Solver};
 use ed_powerflow::Network;
 
 /// Which rung of the fallback ladder produced a dispatch.
@@ -113,6 +115,58 @@ impl ResilientDispatch {
     }
 }
 
+/// One solver rung of the ladder: which solver answers, on which objective.
+pub(crate) struct Rung {
+    pub rung: DispatchRung,
+    solver: fn() -> Box<dyn Solver>,
+    pub objective: Objective,
+}
+
+/// The ladder for strictly convex costs: the exact QP by active set, then
+/// by interior point, then the midpoint-linearized LP.
+const QUADRATIC_LADDER: &[Rung] = &[
+    Rung {
+        rung: DispatchRung::ActiveSetQp,
+        solver: || Box::new(ActiveSetSolver::default()),
+        objective: Objective::Own,
+    },
+    Rung {
+        rung: DispatchRung::InteriorPoint,
+        solver: || Box::new(IpmSolver::default()),
+        objective: Objective::Own,
+    },
+    Rung {
+        rung: DispatchRung::LpApprox,
+        solver: || Box::new(SimplexSolver::default()),
+        objective: Objective::Midpoint,
+    },
+];
+
+/// The ladder when any cost is linear: the exact LP.
+const LINEAR_LADDER: &[Rung] = &[Rung {
+    rung: DispatchRung::LpApprox,
+    solver: || Box::new(SimplexSolver::default()),
+    objective: Objective::Own,
+}];
+
+/// The solver rungs `net`'s dispatch runs, in escalation order.
+pub(crate) fn ladder(net: &Network) -> &'static [Rung] {
+    if all_strictly_convex(net) {
+        QUADRATIC_LADDER
+    } else {
+        LINEAR_LADDER
+    }
+}
+
+impl Rung {
+    /// Builds `problem`'s model with this rung's objective, solves it with
+    /// this rung's solver, and packages the answer.
+    pub(crate) fn attempt(&self, problem: &DcOpf<'_>, budget: &SolveBudget) -> RungOutcome {
+        let solver = (self.solver)();
+        classify(problem, problem.model(self.objective).and_then(|m| m.solve(&*solver, budget)))
+    }
+}
+
 /// Stateful resilient dispatcher: runs the ladder and remembers the last
 /// successfully solved dispatch for the final rung.
 #[derive(Debug, Clone, Default)]
@@ -175,14 +229,16 @@ impl ResilientDispatcher {
         factors: Option<std::sync::Arc<ed_powerflow::FactorCache>>,
     ) -> Result<ResilientDispatch, CoreError> {
         let problem = DcOpf::new(net).demand(demand_mw).ratings(ratings_mw);
+        let rungs = ladder(net);
         let mut degradations = Vec::new();
 
         // Input sanitization runs before any solver touches the data. When
         // it fails there is nothing trustworthy to audit against, so the
-        // safety gate is skipped for this interval.
+        // safety gate is skipped for this interval. The failure is charged
+        // to the first rung this network's ladder would have run.
         if let Err(e) = problem.validate() {
             degradations.push(Degradation {
-                rung: DispatchRung::ActiveSetQp,
+                rung: rungs[0].rung,
                 reason: DegradationReason::BadInput(e.to_string()),
             });
             return self.fall_to_last_known_good(degradations, e, None);
@@ -199,104 +255,40 @@ impl ResilientDispatcher {
             ratings: ratings_mw,
         };
 
-        let formulation = Formulation::Auto.resolve(net);
-        let all_quadratic = net.gens().iter().all(|g| g.cost.is_strictly_convex());
-
         let mut last_err: CoreError = CoreError::DispatchInfeasible;
-        if all_quadratic {
-            // Rung 1: active-set QP.
-            match self.try_qp(&problem, formulation, &ActiveSetSolver::default(), budget) {
-                RungOutcome::Clean(d) => {
-                    return self.accept(d, DispatchRung::ActiveSetQp, degradations, &audit)
-                }
-                RungOutcome::Degraded(d, tripped) => {
-                    degradations.push(Degradation {
-                        rung: DispatchRung::ActiveSetQp,
-                        reason: DegradationReason::PartialIncumbent(tripped),
-                    });
+        for rung in rungs {
+            let kind = rung.rung;
+            // The active set runs even past the deadline: its phase-1 start
+            // is unbudgeted, so a dead-on-arrival deadline still yields a
+            // fresh feasible incumbent.
+            if kind != DispatchRung::ActiveSetQp && budget.wall_tripped().is_some() {
+                let reason = DegradationReason::DeadlineExhausted;
+                degradations.push(Degradation { rung: kind, reason });
+                continue;
+            }
+            match rung.attempt(&problem, budget) {
+                RungOutcome::Clean(d) => return self.accept(d, kind, degradations, &audit),
+                // Interior partials carry no feasible x; they count as
+                // failed below.
+                RungOutcome::Degraded(d, tripped) if kind != DispatchRung::InteriorPoint => {
+                    let reason = DegradationReason::PartialIncumbent(tripped);
+                    degradations.push(Degradation { rung: kind, reason });
                     // A feasible incumbent is already in hand; do not spend
                     // the (likely exhausted) budget on further rungs.
-                    return Ok(audit.flag_only(d, DispatchRung::ActiveSetQp, degradations));
+                    return Ok(audit.flag_only(d, kind, degradations));
                 }
-                RungOutcome::FailedPartial(tripped) => {
-                    degradations.push(Degradation {
-                        rung: DispatchRung::ActiveSetQp,
-                        reason: DegradationReason::Budget(tripped),
-                    });
+                RungOutcome::Degraded(_, tripped) | RungOutcome::FailedPartial(tripped) => {
+                    let reason = DegradationReason::Budget(tripped);
+                    degradations.push(Degradation { rung: kind, reason });
                 }
                 RungOutcome::Infeasible => return Err(CoreError::DispatchInfeasible),
                 RungOutcome::Failed(reason, e) => {
-                    degradations.push(Degradation { rung: DispatchRung::ActiveSetQp, reason });
-                    last_err = e;
-                }
-            }
-
-            // Rung 2: interior-point QP.
-            if budget.wall_tripped().is_some() {
-                degradations.push(Degradation {
-                    rung: DispatchRung::InteriorPoint,
-                    reason: DegradationReason::DeadlineExhausted,
-                });
-            } else {
-                match self.try_qp(&problem, formulation, &IpmSolver::default(), budget) {
-                    RungOutcome::Clean(d) => {
-                        return self.accept(d, DispatchRung::InteriorPoint, degradations, &audit)
-                    }
-                    // Interior partials carry no feasible x; treat as failed.
-                    RungOutcome::Degraded(_, tripped) | RungOutcome::FailedPartial(tripped) => {
-                        degradations.push(Degradation {
-                            rung: DispatchRung::InteriorPoint,
-                            reason: DegradationReason::Budget(tripped),
-                        });
-                    }
-                    RungOutcome::Infeasible => return Err(CoreError::DispatchInfeasible),
-                    RungOutcome::Failed(reason, e) => {
-                        degradations.push(Degradation { rung: DispatchRung::InteriorPoint, reason });
-                        last_err = e;
-                    }
-                }
-            }
-        }
-
-        // Rung 3: LP (exact for linear costs, linearized otherwise).
-        if budget.wall_tripped().is_some() {
-            degradations.push(Degradation {
-                rung: DispatchRung::LpApprox,
-                reason: DegradationReason::DeadlineExhausted,
-            });
-        } else {
-            let lin_cost: Option<Vec<f64>> = all_quadratic.then(|| {
-                net.gens()
-                    .iter()
-                    .map(|g| g.cost.b + 2.0 * g.cost.a * 0.5 * (g.pmin_mw + g.pmax_mw))
-                    .collect()
-            });
-            match self.try_lp(&problem, formulation, lin_cost.as_deref(), budget) {
-                RungOutcome::Clean(d) => {
-                    return self.accept_lp(d, degradations, all_quadratic, &audit)
-                }
-                RungOutcome::Degraded(d, tripped) => {
-                    degradations.push(Degradation {
-                        rung: DispatchRung::LpApprox,
-                        reason: DegradationReason::PartialIncumbent(tripped),
-                    });
-                    return Ok(audit.flag_only(d, DispatchRung::LpApprox, degradations));
-                }
-                RungOutcome::FailedPartial(tripped) => {
-                    degradations.push(Degradation {
-                        rung: DispatchRung::LpApprox,
-                        reason: DegradationReason::Budget(tripped),
-                    });
-                }
-                RungOutcome::Infeasible => return Err(CoreError::DispatchInfeasible),
-                RungOutcome::Failed(reason, e) => {
-                    degradations.push(Degradation { rung: DispatchRung::LpApprox, reason });
+                    degradations.push(Degradation { rung: kind, reason });
                     last_err = e;
                 }
             }
         }
 
-        // Rung 4: last-known-good.
         self.fall_to_last_known_good(degradations, last_err, Some(&audit))
     }
 
@@ -319,136 +311,52 @@ impl ResilientDispatcher {
         Ok(ResilientDispatch { dispatch, rung, degradations, safety })
     }
 
-    fn accept_lp(
-        &mut self,
-        dispatch: Dispatch,
-        mut degradations: Vec<Degradation>,
-        approximated: bool,
-        audit: &Audit<'_>,
-    ) -> Result<ResilientDispatch, CoreError> {
-        if approximated && degradations.is_empty() {
-            // Shouldn't happen (LP only runs for quadratic costs after the
-            // QP rungs failed), but keep the record honest if it does.
-            degradations.push(Degradation {
-                rung: DispatchRung::LpApprox,
-                reason: DegradationReason::Solver("cost model linearized".into()),
-            });
-        }
-        self.accept(dispatch, DispatchRung::LpApprox, degradations, audit)
-    }
-
     fn fall_to_last_known_good(
         &self,
-        mut degradations: Vec<Degradation>,
+        degradations: Vec<Degradation>,
         last_err: CoreError,
         audit: Option<&Audit<'_>>,
     ) -> Result<ResilientDispatch, CoreError> {
-        match &self.last_known_good {
-            Some(d) => {
-                let mut dispatch = d.clone();
-                // Stale duals must not masquerade as current prices.
-                for v in &mut dispatch.lmp {
-                    *v = f64::NAN;
-                }
-                // The stale dispatch is audited against *today's* demand and
-                // ratings (flag-only: it is the last resort either way).
-                let safety = audit.and_then(|a| a.check(&dispatch));
-                if let Some(report) = &safety {
-                    if !report.passed() {
-                        degradations.push(Degradation {
-                            rung: DispatchRung::LastKnownGood,
-                            reason: DegradationReason::SafetyGate(report.clone()),
-                        });
-                    }
-                }
-                Ok(ResilientDispatch {
-                    dispatch,
-                    rung: DispatchRung::LastKnownGood,
-                    degradations,
-                    safety,
-                })
-            }
-            None => Err(last_err),
+        let Some(d) = &self.last_known_good else { return Err(last_err) };
+        let mut dispatch = d.clone();
+        // Stale duals must not masquerade as current prices.
+        for v in &mut dispatch.lmp {
+            *v = f64::NAN;
         }
+        // The stale dispatch is audited against *today's* demand and
+        // ratings (flag-only: it is the last resort either way).
+        Ok(match audit {
+            Some(a) => a.flag_only(dispatch, DispatchRung::LastKnownGood, degradations),
+            None => ResilientDispatch {
+                dispatch,
+                rung: DispatchRung::LastKnownGood,
+                degradations,
+                safety: None,
+            },
+        })
     }
+}
 
-    fn try_qp(
-        &self,
-        problem: &DcOpf<'_>,
-        formulation: Formulation,
-        solver: &dyn Solver,
-        budget: &SolveBudget,
-    ) -> RungOutcome {
-        let net = problem.network();
-        let result = match formulation {
-            Formulation::Ptdf => qp_form::solve_ptdf_budgeted(
-                net,
-                problem.demand_mw(),
-                problem.ratings_mw(),
-                solver,
-                budget,
-            ),
-            _ => qp_form::solve_angle_budgeted(
-                net,
-                problem.demand_mw(),
-                problem.ratings_mw(),
-                solver,
-                budget,
-            ),
-        };
-        self.classify(problem, result)
-    }
-
-    fn try_lp(
-        &self,
-        problem: &DcOpf<'_>,
-        formulation: Formulation,
-        lin_cost: Option<&[f64]>,
-        budget: &SolveBudget,
-    ) -> RungOutcome {
-        let net = problem.network();
-        let result = match formulation {
-            Formulation::Ptdf => lp_form::solve_ptdf_budgeted(
-                net,
-                problem.demand_mw(),
-                problem.ratings_mw(),
-                lin_cost,
-                budget,
-            ),
-            _ => lp_form::solve_angle_budgeted(
-                net,
-                problem.demand_mw(),
-                problem.ratings_mw(),
-                lin_cost,
-                budget,
-            ),
-        };
-        self.classify(problem, result)
-    }
-
-    fn classify(&self, problem: &DcOpf<'_>, result: super::BudgetedSolve) -> RungOutcome {
-        let nb = problem.network().num_buses();
-        match result {
-            Ok(SolveOutcome::Solved(v)) => match problem.package(v) {
-                Ok(d) => RungOutcome::Clean(d),
+/// Classifies one rung's raw solve, packaging solved and feasible-partial
+/// generation vectors into full dispatches.
+fn classify(problem: &DcOpf<'_>, result: BudgetedSolve) -> RungOutcome {
+    let nb = problem.network().num_buses();
+    match result {
+        Ok(SolveOutcome::Solved(v)) => match problem.package(v) {
+            Ok(d) => RungOutcome::Clean(d),
+            Err(e) => RungOutcome::Failed(DegradationReason::Solver(e.to_string()), e),
+        },
+        Ok(SolveOutcome::Partial(p)) => match p.x {
+            // Feasible incumbent: package with NaN prices.
+            Some(p_mw) => match problem.package((p_mw, vec![f64::NAN; nb])) {
+                Ok(d) => RungOutcome::Degraded(d, p.tripped),
                 Err(e) => RungOutcome::Failed(DegradationReason::Solver(e.to_string()), e),
             },
-            Ok(SolveOutcome::Partial(p)) => match p.x {
-                Some(p_mw) => {
-                    // Feasible incumbent: package with NaN prices.
-                    match problem.package((p_mw, vec![f64::NAN; nb])) {
-                        Ok(d) => RungOutcome::Degraded(d, p.tripped),
-                        Err(e) => {
-                            RungOutcome::Failed(DegradationReason::Solver(e.to_string()), e)
-                        }
-                    }
-                }
-                None => RungOutcome::FailedPartial(p.tripped),
-            },
-            Err(CoreError::DispatchInfeasible) => RungOutcome::Infeasible,
-            Err(CoreError::Optim(ed_optim::OptimError::Infeasible)) => RungOutcome::Infeasible,
-            Err(e) => RungOutcome::Failed(DegradationReason::Solver(e.to_string()), e),
-        }
+            None => RungOutcome::FailedPartial(p.tripped),
+        },
+        Err(CoreError::DispatchInfeasible) => RungOutcome::Infeasible,
+        Err(CoreError::Optim(ed_optim::OptimError::Infeasible)) => RungOutcome::Infeasible,
+        Err(e) => RungOutcome::Failed(DegradationReason::Solver(e.to_string()), e),
     }
 }
 
@@ -488,8 +396,8 @@ impl Audit<'_> {
     }
 }
 
-/// Internal classification of one rung attempt.
-enum RungOutcome {
+/// Classification of one rung attempt.
+pub(crate) enum RungOutcome {
     /// Solved to optimality; full dispatch with LMPs.
     Clean(Dispatch),
     /// Budget tripped but a feasible incumbent was packaged (LMPs are NaN).
@@ -549,6 +457,22 @@ mod tests {
         assert!(r.dispatch.lmp.iter().all(|v| v.is_nan()), "stale LMPs must be NaN");
         // The generation plan itself is the last good one.
         assert!((r.dispatch.p_mw.iter().sum::<f64>() - demand.iter().sum::<f64>()).abs() < 1e-6);
+    }
+
+    #[test]
+    fn bad_input_names_the_first_rung_the_network_would_run() {
+        // A linear-cost network's ladder starts at the LP rung: the
+        // sanitization failure must not name a QP rung that never runs.
+        let net = ed_cases::three_bus();
+        let demand = net.demand_vector_mw();
+        let mut rd = ResilientDispatcher::new();
+        rd.dispatch(&net, &demand, &net.static_ratings_mva(), &SolveBudget::unlimited()).unwrap();
+        let mut bad = net.static_ratings_mva();
+        bad[1] = f64::NAN;
+        let r = rd.dispatch(&net, &demand, &bad, &SolveBudget::unlimited()).unwrap();
+        assert_eq!(r.rung, DispatchRung::LastKnownGood);
+        assert_eq!(r.degradations[0].rung, DispatchRung::LpApprox);
+        assert!(matches!(r.degradations[0].reason, DegradationReason::BadInput(_)));
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //!   by construction, so the bound check alone provably never fires on it —
 //!   reproducing the paper's stealthiness claim — while the trend check
 //!   catches step changes.
-//! - [`robust_dispatch`] — "algorithmic redundancy": an attack-aware
-//!   dispatch that only trusts reported ratings up to a configurable
-//!   margin above the worst-case floor, bounding the violation any
-//!   in-bound manipulation can cause (the paper's future-work item iv).
+//! - [`robust_dispatch`](mod@robust_dispatch) — "algorithmic redundancy":
+//!   an attack-aware dispatch that only trusts reported ratings up to a
+//!   configurable margin above the worst-case floor, bounding the violation
+//!   any in-bound manipulation can cause (the paper's future-work item iv).
 //! - [`replica`] — "intrusion-tolerant replication": run two independent
 //!   dispatch implementations on independently-read inputs and flag any
 //!   disagreement (N-version programming, item iii).

@@ -56,7 +56,7 @@ enum Update {
 
 /// Sparse LU factorization plus a product-form file of rank-1 updates.
 ///
-/// Wraps a base [`SparseLu`] and a sequence of [`Update`]s; `solve` /
+/// Wraps a base [`SparseLu`] and a sequence of rank-1 `Update`s; `solve` /
 /// `solve_transpose` run the base triangular solves and then apply the
 /// update corrections in the proper order. With an empty update file the
 /// solves are exactly the base [`SparseLu`] solves.

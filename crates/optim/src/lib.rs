@@ -62,6 +62,6 @@ pub use certify::{
 pub use error::OptimError;
 pub use model::{
     ActiveSetSolver, BranchBoundSolver, IpmSolver, Model, MpecSolver, Postsolve, PresolveOptions,
-    PresolveStats, Presolved, QpAutoSolver, SimplexSolver, Solution, Solver,
+    PresolveStats, Presolved, SimplexSolver, Solution, Solver,
 };
 

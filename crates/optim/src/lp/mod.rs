@@ -4,7 +4,7 @@
 //! The solver handles general bounds `l <= x <= u` (including infinite and
 //! fixed bounds), `<=`/`>=`/`==` rows, minimization and maximization, and
 //! reports primal values, row duals, and reduced costs. The basis is kept as
-//! an LU factorization plus product-form eta updates (see [`simplex`]).
+//! an LU factorization plus product-form eta updates (see the `simplex` module).
 //!
 //! The problem type here is the workspace-wide [`crate::model::Model`];
 //! [`LpProblem`] is an alias kept for the original LP-centric call sites.
@@ -18,7 +18,7 @@ pub(crate) mod pricing;
 pub(crate) mod simplex;
 
 pub use crate::model::{LpSolution, LpStatus, Row, RowId, RowSense, Sense, VarId};
-pub use basis::{warm_env_enabled, Basis, BasisStatus};
+pub use basis::{Basis, BasisStatus};
 pub use simplex::{phase1_basis, Pricing, SimplexOptions};
 
 /// The LP problem type — an alias of the shared sparse [`crate::model::Model`].

@@ -5,7 +5,7 @@
 //!
 //! - **Sparse constraint columns.** The constraint matrix lives
 //!   column-major as jagged `(row, coef)` lists (convertible to a packed
-//!   [`CscMatrix`](ed_linalg::CscMatrix) via [`Model::to_csc`]), shared
+//!   [`ed_linalg::CscMatrix`] via [`Model::to_csc`]), shared
 //!   copy-on-write across clones so branch-and-bound nodes and per-subproblem
 //!   objective patches never copy row storage.
 //! - **Variable bounds and row senses/rhs.**
@@ -29,8 +29,7 @@ pub mod solver;
 
 pub use presolve::{Postsolve, PresolveOptions, PresolveStats, Presolved};
 pub use solver::{
-    ActiveSetSolver, BranchBoundSolver, IpmSolver, MpecSolver, QpAutoSolver, SimplexSolver,
-    Solution, Solver,
+    ActiveSetSolver, BranchBoundSolver, IpmSolver, MpecSolver, SimplexSolver, Solution, Solver,
 };
 
 use crate::budget::{SolveBudget, SolveOutcome};

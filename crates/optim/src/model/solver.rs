@@ -332,64 +332,6 @@ impl Solver for IpmSolver {
     }
 }
 
-/// QP with the same escalation the dispatch ladder's `QpMethod::Auto` used:
-/// active set first; degenerate stalls and numerical breakdowns fall back to
-/// the interior-point method, keeping a feasible active-set partial when the
-/// fallback cannot finish either.
-#[derive(Debug, Clone, Default)]
-pub struct QpAutoSolver {
-    /// Active-set options (the embedded IPM options drive the fallback).
-    pub options: QpOptions,
-}
-
-impl Solver for QpAutoSolver {
-    fn name(&self) -> &'static str {
-        "qp-auto"
-    }
-
-    fn solve(
-        &self,
-        model: &Model,
-        budget: &SolveBudget,
-    ) -> Result<SolveOutcome<Solution>, OptimError> {
-        model.validate()?;
-        let dense = DenseQp::from_model(model);
-        match active_set::solve_budgeted(&dense, &self.options, budget) {
-            Ok(SolveOutcome::Solved(s)) => {
-                Ok(SolveOutcome::Solved(qp_to_solution(model, &dense, s)))
-            }
-            Ok(SolveOutcome::Partial(p)) => {
-                if budget.wall_tripped().is_some() {
-                    return Ok(SolveOutcome::Partial(qp_reprice_partial(model, dense.sign, p)));
-                }
-                match ipm::solve_budgeted(&dense, &self.options.ipm, budget) {
-                    Ok(SolveOutcome::Solved(s)) => {
-                        Ok(SolveOutcome::Solved(qp_to_solution(model, &dense, s)))
-                    }
-                    // The active-set partial carries a feasible iterate;
-                    // prefer it over an infeasible interior partial.
-                    _ => Ok(SolveOutcome::Partial(qp_reprice_partial(model, dense.sign, p))),
-                }
-            }
-            Err(OptimError::IterationLimit { .. }) | Err(OptimError::Numerical { .. }) => {
-                match ipm::solve_budgeted(&dense, &self.options.ipm, budget)? {
-                    SolveOutcome::Solved(s) => {
-                        Ok(SolveOutcome::Solved(qp_to_solution(model, &dense, s)))
-                    }
-                    SolveOutcome::Partial(p) => {
-                        Ok(SolveOutcome::Partial(qp_reprice_partial(model, dense.sign, p)))
-                    }
-                }
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    fn with_tolerances(&self, tol: &Tolerances) -> Box<dyn Solver> {
-        Box::new(QpAutoSolver { options: qp_with(self.options.clone(), tol) })
-    }
-}
-
 /// MILP via branch and bound on the model's integrality marks (a model
 /// without marks degenerates to a single root LP).
 #[derive(Debug, Clone, Default)]

@@ -61,6 +61,9 @@ run env ED_TRACE=1 cargo test -q --offline --workspace
 run env ED_POOL=0 cargo test -q --offline --workspace
 run env ED_POOL=1 cargo test -q --offline --workspace
 run cargo clippy --offline --workspace --all-targets -- -D warnings
+# Rustdoc must build warning-free: a broken or ambiguous intra-doc link
+# (e.g. to a deleted item) fails the gate instead of rotting silently.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 # Trace-overhead guard: the committed benchmark artifact records what the
 # instrumentation costs a production (ED_TRACE=0) sweep — the calibrated

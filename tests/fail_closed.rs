@@ -148,7 +148,7 @@ fn expired_deadline_is_refused_at_admission_not_solved() {
 /// stalled.
 #[test]
 fn dlr_perturbed_118_dispatch_retry_passes_the_safety_gate() {
-    use ed_core::dispatch::ResilientDispatcher;
+    use ed_core::dispatch::{DispatchRung, ResilientDispatcher};
     use ed_optim::budget::SolveBudget;
     use ed_rng::{Rng, SeedableRng, StdRng};
 
@@ -174,5 +174,9 @@ fn dlr_perturbed_118_dispatch_retry_passes_the_safety_gate() {
             .expect("a feasible interval dispatches");
         let safety = rd.safety.as_ref().expect("every dispatch is audited");
         assert!(safety.passed(), "scenario #{scenario} (level {level}): {safety:?}");
+        // Both scenarios stall the active set and are answered one rung
+        // down, by the interior point: the escalation order is pinned.
+        assert_eq!(rd.rung, DispatchRung::InteriorPoint, "scenario #{scenario}");
+        assert_eq!(rd.degradations[0].rung, DispatchRung::ActiveSetQp, "scenario #{scenario}");
     }
 }
